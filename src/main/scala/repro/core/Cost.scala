@@ -280,13 +280,24 @@ final class CostModel(stats: Stats, p: CostParams = CostParams()) {
           if (depth >= MaxDepth) return None
           if (!visiting.add(key)) return None // cycle
           depth += 1
-          val candidates = pruned.getOrElse(cls, Vector.empty)
-            .flatMap { n =>
-              nodeCost(n, env, bestLu).map { case (cost, card) => (cost, card, n) }
+          // The first cheapest candidate, as `minBy` would pick it. The loop
+          // keeps `best` too large for the JIT to inline into each closure
+          // of `nodeCost` that reaches it through `lu`; inlined, it made
+          // those compiles slow enough to hold up the code that runs next.
+          var r: Option[(Double, Card, ENode)] = None
+          val ns = pruned.getOrElse(cls, Vector.empty)
+          var i = 0
+          while (i < ns.length) {
+            nodeCost(ns(i), env, bestLu) match {
+              case Some((cost, card)) =>
+                if (r.isEmpty || java.lang.Double.compare(cost, r.get._1) < 0)
+                  r = Some((cost, card, ns(i)))
+              case None =>
             }
+            i += 1
+          }
           depth -= 1
           visiting.remove(key)
-          val r = if (candidates.isEmpty) None else Some(candidates.minBy(_._1))
           // results computed under the depth cap may be partial — only
           // memoize when computed from the top region of the search
           if (depth < MaxDepth / 2) memo(key) = r

@@ -26,8 +26,13 @@ final case class RNodeF(opf: (RuleCtx, Subst) => String, cs: RT*) extends RT
   * type-gated rules. */
 final class RuleCtx(val eg: EGraph, reprs: Map[Int, Expr],
                     val symIsScalar: String => Boolean = _ => false) {
+  private val fvs = mutable.HashMap.empty[Int, Set[Int]]
   def repr(cls: Int): Expr =
     reprs.getOrElse(cls, reprs.getOrElse(eg.find(cls), Extract.smallest(eg, cls)))
+  /** `Expr.freeVars(repr(cls))`, memoized for the classes of the table. */
+  def freeVars(cls: Int): Set[Int] =
+    if (reprs.contains(cls)) fvs.getOrElseUpdate(cls, Expr.freeVars(reprs(cls)))
+    else Expr.freeVars(repr(cls))
 }
 
 final case class Rule(
@@ -61,7 +66,7 @@ object Rule {
     * variables avoid `banned` — sound because any representative without
     * the variable denotes a value independent of it. */
   def fvAvoid(n: String, banned: Set[Int]): (RuleCtx, Subst) => Boolean =
-    (ctx, s) => Expr.freeVars(ctx.repr(s(n))).intersect(banned).isEmpty
+    (ctx, s) => ctx.freeVars(s(n)).intersect(banned).isEmpty
 
   def allOf(cs: ((RuleCtx, Subst) => Boolean)*): (RuleCtx, Subst) => Boolean =
     (ctx, s) => cs.forall(_(ctx, s))
@@ -79,13 +84,29 @@ final case class SatConfig(
 
 final case class RunStats(
     timeMs: Double, iters: Int, nodes: Int, classes: Int, memos: Long,
-    saturated: Boolean) {
+    saturated: Boolean,
+    /** The wall-clock limit, not a work budget, stopped the search. */
+    timedOut: Boolean = false) {
   def +(o: RunStats): RunStats = RunStats(
     timeMs + o.timeMs, iters + o.iters, math.max(nodes, o.nodes),
-    math.max(classes, o.classes), memos + o.memos, saturated && o.saturated)
+    math.max(classes, o.classes), memos + o.memos, saturated && o.saturated,
+    timedOut || o.timedOut)
 }
 
 object Saturate {
+
+  /** Root-op index over `ids`: for each op, the classes holding a node
+    * with that op, in `ids` order, so that a rule visits only the classes
+    * its pattern can match at the root. */
+  final class Roots(eg: EGraph, ids: Vector[Int]) {
+    private val byOp =
+      ids.flatMap(c => eg.classes(c).map(_.op).distinct.map(_ -> c)).groupMap(_._1)(_._2)
+    def apply(pat: Pat): Vector[Int] = pat match {
+      case PNode(op, _) => byOp.getOrElse(op, Vector.empty)
+      case POpVar(_, pred, _) => ids.filter(c => eg.classes(c).exists(n => pred(n.op)))
+      case PVar(_) => ids
+    }
+  }
 
   /** Run equality saturation: repeatedly e-match all rules against all
     * classes, apply the matches, and rebuild congruence, until nothing
@@ -93,8 +114,10 @@ object Saturate {
   def run(eg: EGraph, rules: Seq[Rule], cfg: SatConfig = SatConfig(),
           symIsScalar: String => Boolean = _ => false): RunStats = {
     val t0 = System.nanoTime()
+    val programs = rules.map(r => new Matcher.Program(r.lhs))
     var iter = 0
     var saturated = false
+    var timedOut = false
     var stop = false
     while (!stop && iter < cfg.maxIters) {
       iter += 1
@@ -103,20 +126,20 @@ object Saturate {
       val versionBefore = eg.version
       val memoBefore = eg.memoCount
 
-      // Collect matches first (egg-style), then apply.
+      // Collect matches first (egg-style), then apply. Matching leaves the
+      // graph unchanged, so the root index holds for the whole pass.
       val matches = mutable.ArrayBuffer.empty[(Rule, Subst, Int)]
-      val ids = eg.classIds
-      rules.foreach { rule =>
+      val roots = new Roots(eg, eg.classIds)
+      rules.lazyZip(programs).foreach { (rule, program) =>
         var count = 0
+        val cands = roots(rule.lhs)
         var i = 0
-        while (i < ids.length && count < cfg.maxMatchesPerRule) {
-          val cls = ids(i)
-          if (eg.classes.contains(eg.find(cls))) {
-            Matcher.matches(eg, rule.lhs, cls).foreach { s =>
-              if (count < cfg.maxMatchesPerRule && rule.cond(ctx, s)) {
-                matches += ((rule, s, eg.find(cls)))
-                count += 1
-              }
+        while (i < cands.length && count < cfg.maxMatchesPerRule) {
+          val cls = cands(i)
+          program.foreach(eg, cls) { s =>
+            if (count < cfg.maxMatchesPerRule && rule.cond(ctx, s)) {
+              matches += ((rule, s, cls))
+              count += 1
             }
           }
           i += 1
@@ -136,10 +159,10 @@ object Saturate {
       if (eg.version == versionBefore && eg.memoCount == memoBefore) {
         saturated = true; stop = true
       } else if (eg.nodeCount >= cfg.maxNodes || elapsed >= cfg.timeoutMs) {
-        stop = true
+        timedOut = eg.nodeCount < cfg.maxNodes; stop = true
       }
     }
     RunStats((System.nanoTime() - t0) / 1e6, iter, eg.nodeCount, eg.classCount,
-      eg.memoCount, saturated)
+      eg.memoCount, saturated, timedOut)
   }
 }

@@ -42,6 +42,14 @@ object Table3 {
   final case class Cell(kernel: String, system: String, format: String,
                         timeMs: Double, checksum: Double, ok: Boolean)
 
+  /** The fastest correct candidate. When none is correct, a cell marked
+    * wrong with no format and no time: a wrong result is never the best. */
+  def bestOf(cells: Seq[Cell]): Cell = cells.filter(_.ok) match {
+    case Nil => cells.head.copy(format = "-", timeMs = Double.NaN,
+      checksum = Double.NaN, ok = false)
+    case ok => ok.minBy(_.timeMs)
+  }
+
   /** Per-kernel per-system best cell (argmin over candidate formats). */
   def run(spark: Option[SparkSession], log: String => Unit = _ => (),
           cfg: Optimizer.Config = Optimizer.Config(),
@@ -80,11 +88,6 @@ object Table3 {
         }
       val (v, t) = Bench.timeAdaptive(Interp.run(plan, symtab))
       cell(kernel, system, formatName, t, checksum(v))
-    }
-
-    def bestOf(cells: Seq[Cell]): Cell = cells.filter(_.ok) match {
-      case Nil => cells.minBy(_.timeMs)
-      case ok => ok.minBy(_.timeMs)
     }
 
     val out = Seq.newBuilder[Cell]

@@ -11,9 +11,11 @@ import repro.storage._
   * implementation. */
 class OptimizerSpec extends AnyFunSuite {
 
+  // Work budgets only: the wall-clock limit is a hard abort far above the
+  // run time, so the search, and the plan, do not depend on machine speed.
   private val testCfg = Optimizer.Config(
-    stage1 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 4000, timeoutMs = 1500),
-    stage2 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 9000, timeoutMs = 2500),
+    stage1 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 4000, timeoutMs = 600000),
+    stage2 = repro.egraph.SatConfig(maxIters = 12, maxNodes = 9000, timeoutMs = 600000),
     rounds1 = 2, rounds2 = 3)
 
   private val matA = CooMat.random(20, 20, 70, seed = 1)
@@ -131,6 +133,18 @@ class OptimizerSpec extends AnyFunSuite {
     val tOpt = time(res.plan)
     info(f"naive ${tNaive}%.1f ms vs optimized ${tOpt}%.1f ms")
     assert(tOpt < tNaive, "optimized plan should be faster than naive")
+  }
+
+  test("work-budget-only optimization is deterministic (BATAX on CSR, Dense)") {
+    def once() = Optimizer.optimize(Kernels.batax,
+      Seq(Formats.csr("A", matA), Formats.denseVec("X", vecX)),
+      Map("beta" -> Card.scalar), testCfg)
+    val (a, b) = (once(), once())
+    assert(a.plan == b.plan)
+    def counts(r: repro.egraph.RunStats) = (r.iters, r.nodes, r.classes, r.memos)
+    assert(counts(a.stage1) == counts(b.stage1))
+    assert(counts(a.stage2) == counts(b.stage2))
+    assert(!a.stage1.timedOut && !a.stage2.timedOut)
   }
 
   test("optimizer reports two-stage saturation stats (Table 4 shape)") {

@@ -2,6 +2,9 @@ package repro.egraph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.kernels.Kernels
+import repro.storage.{CooMat, Formats}
+import scala.collection.mutable
 
 class EGraphSpec extends AnyFunSuite {
 
@@ -147,9 +150,83 @@ class EGraphSpec extends AnyFunSuite {
 
   test("RunStats aggregate with +") {
     val a = RunStats(10, 2, 100, 50, 120, saturated = true)
-    val b = RunStats(5, 3, 80, 60, 90, saturated = false)
+    val b = RunStats(5, 3, 80, 60, 90, saturated = false, timedOut = true)
     val c = a + b
     assert(c.timeMs == 15 && c.iters == 5 && c.nodes == 100 && c.classes == 60)
-    assert(c.memos == 210 && !c.saturated)
+    assert(c.memos == 210 && !c.saturated && c.timedOut && !a.timedOut)
+  }
+
+  test("saturation reports a wall-clock abort, and only that") {
+    val chain = (1 to 8).map(i => Sym(s"a$i"): Expr).reduceLeft(Bin("+", _, _))
+    val comm = Rule.simple("C1", PNode("bin:+", Vector(PVar("x"), PVar("y"))),
+      RNode("bin:+", RVar("y"), RVar("x")))
+    def run(cfg: SatConfig) = { val eg = new EGraph; eg.addExpr(chain); Saturate.run(eg, Seq(comm), cfg) }
+    assert(run(SatConfig(maxIters = 50, timeoutMs = 0)).timedOut)
+    assert(!run(SatConfig(maxIters = 50, maxNodes = 20, timeoutMs = 0)).timedOut)
+    assert(!run(SatConfig(maxIters = 50)).timedOut)
+  }
+
+  test("nodeCount stays the sum of class sizes through add, union and rebuild") {
+    val rnd = new scala.util.Random(3)
+    val eg = new EGraph
+    val ids = mutable.ArrayBuffer.from((0 until 5).map(i => eg.addExpr(Sym(s"s$i"))))
+    def pick() = ids(rnd.nextInt(ids.size))
+    var deduped = false
+    (1 to 600).foreach { step =>
+      val before = eg.nodeCount
+      rnd.nextInt(5) match {
+        case 0 | 1 => ids += eg.add(ENode(Seq("get", "bin:*")(rnd.nextInt(2)), Vector(pick(), pick())))
+        case 2 => ids += eg.add(ENode("sum", Vector(pick(), pick())))
+        case 3 => eg.union(pick(), pick())
+        case 4 => eg.rebuild(); deduped ||= eg.nodeCount < before
+      }
+      assert(eg.nodeCount == eg.classes.valuesIterator.map(_.size).sum, s"after step $step")
+    }
+    assert(deduped, "no congruence merge deduplicated nodes")
+  }
+
+  /** The top-down matcher the compiled one replaced: the reference that
+    * root-indexed matching must agree with, match for match. */
+  private def referenceMatches(eg: EGraph, pat: Pat, cls: Int)
+      : Seq[(Map[String, Int], Map[String, String])] = {
+    type S = (Map[String, Int], Map[String, String])
+    def nodes(c: Int) = eg.classes(eg.find(c)).toSeq
+    def go(p: Pat, c: Int, s: S): Seq[S] = p match {
+      case PVar(n) => s._1.get(n) match {
+        case Some(b) => if (eg.find(b) == eg.find(c)) Seq(s) else Seq.empty
+        case None => Seq((s._1.updated(n, eg.find(c)), s._2))
+      }
+      case PNode(op, cs) => nodes(c).filter(_.op == op).flatMap(n => kids(cs, n.children, s))
+      case POpVar(v, pred, cs) => nodes(c).filter(n => pred(n.op)).flatMap { n =>
+        s._2.get(v) match {
+          case Some(prev) => if (prev == n.op) kids(cs, n.children, s) else Seq.empty
+          case None => kids(cs, n.children, (s._1, s._2.updated(v, n.op)))
+        }
+      }
+    }
+    def kids(ps: Vector[Pat], ks: Vector[Int], s: S): Seq[S] =
+      if (ps.length != ks.length) Seq.empty
+      else ps.zip(ks).foldLeft(Seq(s)) { case (acc, (p, k)) => acc.flatMap(go(p, k, _)) }
+    go(pat, cls, (Map.empty, Map.empty))
+  }
+
+  test("root-indexed matching yields a full scan's matches in the same order") {
+    val eg = new EGraph
+    eg.addExpr(Optimizer.compose(Kernels.batax, Seq(
+      Formats.csr("A", CooMat.random(20, 20, 70, seed = 1)),
+      Formats.denseVec("X", Array.tabulate(20)(i => 0.5 + i * 0.1)))))
+    Saturate.run(eg, Rules.physicalStage, SatConfig(maxIters = 6, maxNodes = 3000))
+    val ids = eg.classIds
+    val roots = new Saturate.Roots(eg, ids)
+    var total = 0
+    Rules.physicalStage.foreach { rule =>
+      val program = new Matcher.Program(rule.lhs)
+      val indexed = mutable.ArrayBuffer.empty[(Int, Map[String, Int], Map[String, String])]
+      roots(rule.lhs).foreach(c => program.foreach(eg, c)(s => indexed += ((c, s.cls, s.ops))))
+      val scan = ids.flatMap(c => referenceMatches(eg, rule.lhs, c).map { case (m, o) => (c, m, o) })
+      assert(indexed == scan, s"rule ${rule.name}")
+      total += scan.size
+    }
+    assert(total > 1000, s"only $total matches: the graph is too small to test")
   }
 }
