@@ -5,11 +5,11 @@ import scala.collection.mutable
 /** Pattern language for e-matching. Metavariables ([[PVar]]) bind
   * e-classes; [[POpVar]] additionally captures the matched op string
   * (used by rules that apply to any dictionary flag combination). */
-sealed trait Pat
+sealed trait Pat { def children: Vector[Pat] = Vector.empty }
 final case class PVar(name: String) extends Pat
-final case class PNode(op: String, children: Vector[Pat]) extends Pat
+final case class PNode(op: String, override val children: Vector[Pat]) extends Pat
 final case class POpVar(opVar: String, pred: String => Boolean,
-                        children: Vector[Pat]) extends Pat
+                        override val children: Vector[Pat]) extends Pat
 
 object Pat {
   def pv(n: String): Pat = PVar(n)
@@ -45,11 +45,7 @@ object Matcher {
     private def flatten(p: Pat): Int = {
       val i = pats.length
       pats += p; kids += null
-      kids(i) = (p match {
-        case PNode(_, cs) => cs
-        case POpVar(_, _, cs) => cs
-        case PVar(_) => Vector.empty[Pat]
-      }).map(flatten).toArray
+      kids(i) = p.children.map(flatten).toArray
       i
     }
     flatten(pat)
